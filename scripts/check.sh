@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: lint (when available), the full test suite, and a
-# 2-second smoke of the batch data-plane bench. Run from the repo root:
+# Tier-1 gate: lint (when available), the full test suite, a smoke of
+# the end-to-end perfbench workloads, and 2-second smokes of the
+# benches. Run from the repo root:
 #
 #   scripts/check.sh
 set -euo pipefail
@@ -30,6 +31,9 @@ python scripts/lint_smoke.py
 
 echo "== pytest (tier-1) =="
 python -m pytest -x -q
+
+echo "== perfbench smoke: end-to-end workloads (small runs print only) =="
+python3 perfbench/run.py --workload all --seed 1 --seconds 2 --size small
 
 echo "== bench smoke: batch data plane =="
 python benchmarks/bench_sketch_batch.py --smoke

@@ -32,7 +32,6 @@ import dataclasses
 import itertools
 import math
 import typing
-import warnings
 
 from taureau.cluster import Cluster, Machine, ResourceVector
 from taureau.core.calibration import DEFAULT_CALIBRATION, Calibration
@@ -176,6 +175,46 @@ class _Attempt:
         #: The durable-execution journal entry shared by every attempt
         #: of this logical invocation (None when durability is off).
         self.journal_entry = None
+        self.metrics: typing.Optional[_FunctionMetrics] = None
+
+
+class _FunctionMetrics:
+    """One function's bound metric handles and duration RNG stream, made
+    at its first invocation (most functions of a large fleet are never
+    invoked).  Each labeled child binds on first access — ``__getattr__``
+    runs only while its slot is unset — so ``snapshot()`` gains no
+    zero-valued children.  Outcome slots are named after status values.
+    """
+
+    #: slot -> (platform family, labels besides ``function``; None: tenant)
+    _BINDINGS = {
+        "arrivals": ("_arrivals_by", {}),
+        "interarrival": ("_interarrival_by", {}),
+        "cold": ("_starts_by", {"start": "cold"}),
+        "warm": ("_starts_by", {"start": "warm"}),
+        "e2e_latency": ("_e2e_latency_by", {}),
+        **{status.value: ("_invocations_by", {"outcome": status.value})
+           for status in InvocationStatus},
+        **{kind: (f"_billing_{kind}_by", None)
+           for kind in ("requests", "seconds", "gb_s", "cost_usd")},
+    }
+    __slots__ = ("_platform", "spec", "duration_rng", *_BINDINGS)
+
+    def __init__(self, platform: "FaasPlatform", spec: FunctionSpec):
+        self._platform, self.spec = platform, spec
+        self.duration_rng = None if spec.duration_model is None else (
+            platform.sim.rng.stream(f"fn.{spec.name}.duration"))
+
+    def __getattr__(self, slot: str):
+        if slot not in self._BINDINGS:
+            raise AttributeError(slot)
+        family, labels = self._BINDINGS[slot]
+        child = getattr(self._platform, family).labels(
+            function=self.spec.name,
+            **({"tenant": self.spec.tenant} if labels is None else labels),
+        )
+        setattr(self, slot, child)
+        return child
 
 
 class FaasPlatform:
@@ -213,6 +252,33 @@ class FaasPlatform:
         self.config = config or PlatformConfig()
         self.services = dict(services or {})
         self.metrics = MetricRegistry(namespace="faas")
+        # Hot paths record through handles bound once (see _FunctionMetrics).
+        metrics = self.metrics
+        self._invocations = metrics.counter("invocations")
+        self._cold_starts = metrics.counter("cold_starts")
+        self._timeouts = metrics.counter("timeouts")
+        self._errors = metrics.counter("errors")
+        self._billing_gb_s = metrics.counter("billing.gb_s")
+        self._billing_cost_usd = metrics.counter("billing.cost_usd")
+        self._queue_delay_s = metrics.distribution("queue_delay_s")
+        self._cold_start_latency_s = metrics.distribution("cold_start_latency_s")
+        self._e2e_latency_s = metrics.distribution("e2e_latency_s")
+        self._exec_duration_s = metrics.distribution("exec_duration_s")
+        self._running_series = metrics.series("running")
+        self._sandbox_memory_series = metrics.series("sandbox_memory_mb")
+        self._sandbox_evictions = metrics.counter("sandbox_evictions")
+        self._sandbox_expirations = metrics.counter("sandbox_expirations")
+        fn, labeled = ("function",), metrics.labeled_counter
+        self._arrivals_by = labeled("arrivals_by", fn)
+        self._starts_by = labeled("starts_by", (*fn, "start"))
+        self._invocations_by = labeled("invocations_by", (*fn, "outcome"))
+        self._retries_by = labeled("retries_by", ("component", "outcome"))
+        self._interarrival_by = metrics.labeled_histogram("interarrival_by", fn)
+        self._e2e_latency_by = metrics.labeled_histogram("e2e_latency_by", fn)
+        for kind in ("requests", "seconds", "gb_s", "cost_usd"):
+            setattr(self, f"_billing_{kind}_by",
+                    labeled(f"billing.{kind}_by", (*fn, "tenant")))
+        self._function_metrics: dict = {}  # name -> _FunctionMetrics
         self._functions: dict = {}
         self._idle: dict = collections.defaultdict(list)
         self._pending: collections.deque = collections.deque()
@@ -293,28 +359,7 @@ class FaasPlatform:
     # Invocation API
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def _legacy_positional_parent(method: str, args: tuple, parent):
-        """Deprecation shim: ``parent`` used to be the third positional
-        parameter of :meth:`invoke`/:meth:`invoke_sync`."""
-        if len(args) > 1:
-            raise TypeError(
-                f"{method}() takes at most 2 positional arguments besides "
-                f"the platform ({2 + len(args)} given)"
-            )
-        if parent is not None:
-            raise TypeError(
-                f"{method}() got parent both positionally and by keyword"
-            )
-        warnings.warn(
-            f"passing parent positionally to {method}() is deprecated; "
-            f"use the keyword form {method}(name, payload, parent=...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return args[0]
-
-    def invoke(self, name: str, payload: object = None, *args, parent=None) -> Event:
+    def invoke(self, name: str, payload: object = None, *, parent=None) -> Event:
         """Asynchronously invoke ``name``.
 
         Returns an event that *always succeeds* with the final
@@ -334,8 +379,6 @@ class FaasPlatform:
         invoker — client-side retries, per-attempt timeouts, hedging and
         circuit breaking — and still resolves with one final record.
         """
-        if args:
-            parent = self._legacy_positional_parent("invoke", args, parent)
         journal_entry = None
         if self._durability is not None:
             journal_entry = self._durability.open_entry(name)
@@ -351,22 +394,24 @@ class FaasPlatform:
                      parent=None, journal_entry=None) -> Event:
         """One platform-level invocation, bypassing client-side resilience."""
         spec = self.spec(name)
+        metrics = self._function_metrics.get(name)
+        if metrics is None or metrics.spec is not spec:  # first call or redeployed
+            metrics = self._function_metrics[name] = _FunctionMetrics(self, spec)
         last_arrival = self._last_arrival.get(name)
         if last_arrival is not None:
-            self.metrics.labeled_histogram("interarrival_by", ("function",)).observe(
-                self.sim.now - last_arrival, function=name
-            )
+            metrics.interarrival.observe(self.sim.now - last_arrival)
         self._last_arrival[name] = self.sim.now
-        self.metrics.labeled_counter("arrivals_by", ("function",)).add(function=name)
+        metrics.arrivals.add()
         record = InvocationRecord(
             invocation_id=f"inv{next(self._invocation_ids)}",
             function_name=name,
             payload=payload,
             arrival_time=self.sim.now,
         )
-        self.metrics.counter("invocations").add()
+        self._invocations.add()
         done = self.sim.event()
         attempt = _Attempt(spec, record, done)
+        attempt.metrics = metrics
         if journal_entry is not None:
             attempt.journal_entry = journal_entry
             journal_entry.invocation_ids.append(record.invocation_id)
@@ -383,7 +428,7 @@ class FaasPlatform:
         self._dispatch(attempt)
         return done
 
-    def invoke_sync(self, name: str, payload: object = None, *args,
+    def invoke_sync(self, name: str, payload: object = None, *,
                     parent=None) -> InvocationRecord:
         """Invoke and run the simulation until the record is final.
 
@@ -392,8 +437,6 @@ class FaasPlatform:
         paths: ``status``/``response``/``error``, ``cold_start``,
         ``cost_usd``, ``end_to_end_latency_s`` and ``trace_id``.
         """
-        if args:
-            parent = self._legacy_positional_parent("invoke_sync", args, parent)
         return self.sim.run(until=self.invoke(name, payload, parent=parent))
 
     def schedule_periodic(
@@ -500,7 +543,11 @@ class FaasPlatform:
         self, start: float = 0.0, end: typing.Optional[float] = None
     ) -> float:
         """The standing charge for provisioned concurrency over a window."""
-        series = self.metrics.series("provisioned_memory_mb")
+        return self._standing_charge_usd("provisioned_memory_mb", start, end)
+
+    def _standing_charge_usd(self, series_name: str, start: float,
+                             end: typing.Optional[float]) -> float:
+        series = self.metrics.series(series_name)
         if not len(series):
             return 0.0
         end = self.sim.now if end is None else end
@@ -597,12 +644,7 @@ class FaasPlatform:
         self, start: float = 0.0, end: typing.Optional[float] = None
     ) -> float:
         """The standing charge for pre-warmed (not yet reused) sandboxes."""
-        series = self.metrics.series("prewarmed_memory_mb")
-        if not len(series):
-            return 0.0
-        end = self.sim.now if end is None else end
-        gb_s = series.integral(start, end) / 1024.0
-        return gb_s * self.config.calibration.price_per_provisioned_gb_s
+        return self._standing_charge_usd("prewarmed_memory_mb", start, end)
 
     def pending_count(self, name: typing.Optional[str] = None) -> int:
         """Parked (queued-on-throttle) attempts, optionally per function."""
@@ -660,9 +702,7 @@ class FaasPlatform:
                 del self._executing[attempt]
                 attempt.execution_epoch += 1  # invalidate the queued finish
                 self._exit_cpu(sandbox, attempt.spec)
-                self._running -= 1
-                self._running_per_function[attempt.spec.name] -= 1
-                self.metrics.series("running").record(self.sim.now, self._running)
+                self._count_running(attempt.spec.name, -1)
                 self.metrics.counter("machine_failure_reexecutions").add()
                 attempt.record.attempts += 1
                 orphaned.append(attempt)
@@ -701,9 +741,7 @@ class FaasPlatform:
         del self._executing[attempt]
         attempt.execution_epoch += 1  # invalidate the queued finish
         self._exit_cpu(sandbox, attempt.spec)
-        self._running -= 1
-        self._running_per_function[attempt.spec.name] -= 1
-        self.metrics.series("running").record(self.sim.now, self._running)
+        self._count_running(attempt.spec.name, -1)
         error = FaultInjected(
             f"sandbox {sandbox.sandbox_id} crashed mid-execution "
             f"(function {attempt.spec.name})",
@@ -741,9 +779,7 @@ class FaasPlatform:
         if not attempt.dispatched_once:
             attempt.dispatched_once = True
             attempt.record.queue_delay_s = self.sim.now - attempt.record.arrival_time
-            self.metrics.distribution("queue_delay_s").observe(
-                attempt.record.queue_delay_s
-            )
+            self._queue_delay_s.observe(attempt.record.queue_delay_s)
             if attempt.span is not None and attempt.record.queue_delay_s > 0:
                 self.sim.tracer.record(
                     "faas.queue",
@@ -751,13 +787,9 @@ class FaasPlatform:
                     start=attempt.record.arrival_time,
                     end=self.sim.now,
                 )
-        self._running += 1
-        self._running_per_function[attempt.spec.name] += 1
-        self.metrics.series("running").record(self.sim.now, self._running)
+        self._count_running(attempt.spec.name, 1)
         attempt.last_dispatch_cold = cold
-        self.metrics.labeled_counter("starts_by", ("function", "start")).add(
-            function=attempt.spec.name, start="cold" if cold else "warm"
-        )
+        (attempt.metrics.cold if cold else attempt.metrics.warm).add()
         start_delay = config.calibration.scheduler_overhead_s
         if cold:
             cold_latency = config.calibration.cold_start_latency(
@@ -765,8 +797,8 @@ class FaasPlatform:
             )
             attempt.record.cold_start = True
             attempt.record.cold_start_latency_s = cold_latency
-            self.metrics.counter("cold_starts").add()
-            self.metrics.distribution("cold_start_latency_s").observe(cold_latency)
+            self._cold_starts.add()
+            self._cold_start_latency_s.observe(cold_latency)
             if attempt.span is not None:
                 self.sim.tracer.record(
                     "faas.cold_start",
@@ -800,9 +832,7 @@ class FaasPlatform:
             )
             record.start_time = record.end_time = self.sim.now
             self.metrics.counter("throttles").add()
-            self.metrics.labeled_counter(
-                "invocations_by", ("function", "outcome")
-            ).add(function=record.function_name, outcome=record.status.value)
+            attempt.metrics.throttled.add()
             if attempt.span is not None:
                 attempt.span.finish(self.sim.now, status="throttled")
             attempt.done.succeed(record)
@@ -890,7 +920,7 @@ class FaasPlatform:
 
     def _reclaim(self, sandbox: Sandbox) -> None:
         self._retire_sandbox(sandbox)
-        self.metrics.counter("sandbox_evictions").add()
+        self._sandbox_evictions.add()
 
     def _retire_sandbox(self, sandbox: Sandbox) -> None:
         """Full cleanup for one sandbox, wherever it currently lives."""
@@ -931,14 +961,12 @@ class FaasPlatform:
         if sandbox.expiry_token is not token:
             return  # reused (or already reclaimed) in the meantime
         self._reclaim(sandbox)
-        self.metrics.counter("sandbox_expirations").add()
+        self._sandbox_expirations.add()
         self._drain_pending()
 
     def _account_sandbox_memory(self, delta_mb: float) -> None:
         self._sandbox_memory_mb += delta_mb
-        self.metrics.series("sandbox_memory_mb").record(
-            self.sim.now, self._sandbox_memory_mb
-        )
+        self._sandbox_memory_series.record(self.sim.now, self._sandbox_memory_mb)
 
     # ------------------------------------------------------------------
     # Execution
@@ -950,9 +978,7 @@ class FaasPlatform:
         if sandbox.dead:
             # The hosting machine failed during the cold start: release
             # the dispatch slot and transparently re-dispatch (§4.1).
-            self._running -= 1
-            self._running_per_function[spec.name] -= 1
-            self.metrics.series("running").record(self.sim.now, self._running)
+            self._count_running(spec.name, -1)
             self.metrics.counter("machine_failure_reexecutions").add()
             record.attempts += 1
             self._dispatch(attempt)
@@ -976,7 +1002,7 @@ class FaasPlatform:
         base_duration = 0.0
         if spec.duration_model is not None:
             base_duration = spec.duration_model(
-                record.payload, self.sim.rng.stream(f"fn.{spec.name}.duration")
+                record.payload, attempt.metrics.duration_rng
             )
         execute_span = None
         if attempt.span is not None:
@@ -1050,6 +1076,11 @@ class FaasPlatform:
             return 1.0
         return max(1.0, self._cpu_load[machine_id] / cores)
 
+    def _count_running(self, name: str, delta: int) -> None:
+        self._running += delta
+        self._running_per_function[name] += delta
+        self._running_series.record(self.sim.now, self._running)
+
     def _exit_cpu(self, sandbox: Sandbox, spec: FunctionSpec) -> None:
         if sandbox.machine is None:
             return
@@ -1071,11 +1102,8 @@ class FaasPlatform:
         record = attempt.record
         self._executing.pop(attempt, None)
         self._exit_cpu(sandbox, spec)
-        self._running -= 1
-        self._running_per_function[spec.name] -= 1
-        self.metrics.series("running").record(self.sim.now, self._running)
-        self._bill(record, spec, exec_duration, span=attempt.span,
-                   journal_entry=attempt.journal_entry)
+        self._count_running(spec.name, -1)
+        self._bill(attempt, exec_duration)
         self._return_to_pool(sandbox)
         self._conclude(attempt, status, response, error, exec_duration)
 
@@ -1095,9 +1123,7 @@ class FaasPlatform:
             attempt.attempts_left -= 1
             record.attempts += 1
             self.metrics.counter("retries").add()
-            self.metrics.labeled_counter(
-                "retries_by", ("component", "outcome")
-            ).add(component="faas.platform", outcome="retry")
+            self._retries_by.add(component="faas.platform", outcome="retry")
             self._dispatch(attempt)
             self._drain_pending()
             return
@@ -1124,18 +1150,14 @@ class FaasPlatform:
         record.response = response
         record.error = error
         record.end_time = self.sim.now
-        self.metrics.distribution("e2e_latency_s").observe(record.end_to_end_latency_s)
-        self.metrics.distribution("exec_duration_s").observe(exec_duration)
-        self.metrics.labeled_counter(
-            "invocations_by", ("function", "outcome")
-        ).add(function=spec.name, outcome=status.value)
-        self.metrics.labeled_histogram(
-            "e2e_latency_by", ("function",)
-        ).observe(record.end_to_end_latency_s, function=spec.name)
+        self._e2e_latency_s.observe(record.end_to_end_latency_s)
+        self._exec_duration_s.observe(exec_duration)
+        getattr(attempt.metrics, status.value).add()
+        attempt.metrics.e2e_latency.observe(record.end_to_end_latency_s)
         if status is InvocationStatus.TIMEOUT:
-            self.metrics.counter("timeouts").add()
+            self._timeouts.add()
         elif status is InvocationStatus.ERROR:
-            self.metrics.counter("errors").add()
+            self._errors.add()
         if attempt.span is not None:
             attempt.span.finish(self.sim.now, status=status.value)
         if attempt.journal_entry is not None and self._durability is not None:
@@ -1154,8 +1176,8 @@ class FaasPlatform:
     # Billing (paper §2: cost efficiency via fine-grained billing)
     # ------------------------------------------------------------------
 
-    def _bill(self, record: InvocationRecord, spec: FunctionSpec, duration: float,
-              span=None, journal_entry=None):
+    def _bill(self, attempt: _Attempt, duration: float) -> None:
+        record, journal_entry = attempt.record, attempt.journal_entry
         calibration = self.config.calibration
         granularity = calibration.billing_granularity_s
         slices = math.ceil(max(duration, 1e-12) / granularity)
@@ -1176,14 +1198,14 @@ class FaasPlatform:
                     overlap
                 )
         billed = slices * granularity
-        gb_s = billed * spec.memory_gb
+        gb_s = billed * attempt.spec.memory_gb
         cost = gb_s * calibration.price_per_gb_s + calibration.price_per_request
         record.billed_duration_s += billed
         record.cost_usd += cost
-        if span is not None:
+        if attempt.span is not None:
             self.sim.tracer.record(
                 "faas.billing",
-                parent=span,
+                parent=attempt.span,
                 start=self.sim.now,
                 end=self.sim.now,
                 gb_s=gb_s,
@@ -1191,14 +1213,14 @@ class FaasPlatform:
                 billed_duration_s=billed,
                 attempt=record.attempts,
             )
-        self.metrics.counter("billing.gb_s").add(gb_s)
-        self.metrics.counter("billing.cost_usd").add(cost)
-        # Per-function line items feed CostReport.
-        self.metrics.counter(f"billing.requests.{spec.name}").add()
-        self.metrics.counter(f"billing.seconds.{spec.name}").add(billed)
-        self.metrics.counter(f"billing.gb_s.{spec.name}").add(gb_s)
-        self.metrics.counter(f"billing.cost_usd.{spec.name}").add(cost)
+        self._billing_gb_s.add(gb_s)
+        self._billing_cost_usd.add(cost)
+        metrics = attempt.metrics  # line items for CostReport and cost_table
+        metrics.requests.add()
+        metrics.seconds.add(billed)
+        metrics.gb_s.add(gb_s)
+        metrics.cost_usd.add(cost)
 
     def total_cost_usd(self) -> float:
         """Cumulative user-facing bill across all invocations so far."""
-        return self.metrics.counter("billing.cost_usd").value
+        return self._billing_cost_usd.value

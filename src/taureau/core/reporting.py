@@ -13,6 +13,7 @@ import dataclasses
 import typing
 
 from taureau.core.platform import FaasPlatform
+from taureau.obs.profile import billing_lines
 
 __all__ = ["FunctionUsage", "CostReport"]
 
@@ -44,28 +45,10 @@ class CostReport:
 
     @classmethod
     def from_platform(cls, platform: FaasPlatform) -> "CostReport":
-        """Build the bill from the platform's per-function counters."""
-        lines = []
-        for name, spec in platform._functions.items():
-            invocations = platform.metrics.counter(f"billing.requests.{name}").value
-            if invocations == 0:
-                continue
-            lines.append(
-                FunctionUsage(
-                    function_name=name,
-                    tenant=spec.tenant,
-                    invocations=int(invocations),
-                    billed_seconds=platform.metrics.counter(
-                        f"billing.seconds.{name}"
-                    ).value,
-                    gb_seconds=platform.metrics.counter(
-                        f"billing.gb_s.{name}"
-                    ).value,
-                    cost_usd=platform.metrics.counter(
-                        f"billing.cost_usd.{name}"
-                    ).value,
-                )
-            )
+        """Build the bill from the platform's ``billing.*_by`` families."""
+        lines = [FunctionUsage(function, tenant, int(requests), seconds, gb_s, cost)
+                 for function, tenant, requests, seconds, gb_s, cost
+                 in billing_lines(platform.metrics)]
         return cls(
             lines,
             provisioned_cost_usd=platform.provisioned_cost_usd(),

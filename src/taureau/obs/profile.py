@@ -1,12 +1,13 @@
-"""Trace-derived profiling: flamegraph folded stacks and cost tables.
+"""Profiling: trace-derived flamegraphs, metric-derived cost tables.
 
-PR 2's span trees answer "where did *this* request go?"; this module
-answers the aggregate question — across every trace in a store, which
-call paths accumulate the time and which functions/tenants accumulate
-the bill.  The folded-stack output is the `flamegraph.pl` / speedscope
-interchange format (one ``root;child;leaf value`` line per call path,
-value in integer microseconds of *self* time), so any off-the-shelf
-flamegraph renderer consumes the simulator's profile directly.
+Span trees answer "where did *this* request go?"; this module answers
+the aggregate question — across every trace in a store, which call
+paths accumulate the time, and across the platform's billing metrics,
+which functions/tenants accumulate the bill.  The folded-stack output
+is the `flamegraph.pl` / speedscope interchange format (one
+``root;child;leaf value`` line per call path, value in integer
+microseconds of *self* time), so any off-the-shelf flamegraph renderer
+consumes the simulator's profile directly.
 
 All outputs are deterministically ordered: same-seed runs produce
 byte-identical profiles, which is what lets ``scripts/metrics_smoke.py``
@@ -18,11 +19,13 @@ from __future__ import annotations
 import typing
 
 from taureau.obs.trace import Span, Trace, TraceStore
+from taureau.sim.metrics import MetricRegistry
 
 __all__ = [
     "folded_stacks",
     "folded_profile",
     "validate_folded",
+    "billing_lines",
     "cost_table",
     "render_cost_table",
     "Profiler",
@@ -125,47 +128,39 @@ def validate_folded(lines: typing.Iterable[str]) -> typing.List[str]:
     return problems
 
 
-def cost_table(store: TraceStore) -> dict:
+def billing_lines(metrics: MetricRegistry) -> typing.List[tuple]:
+    """``(function, tenant, requests, seconds, gb_s, cost_usd)`` per billed
+    function, sorted, from the platform's ``billing.<kind>_by`` families
+    (their children are bound together at a function's first bill)."""
+    families = [metrics.find(f"billing.{kind}_by")
+                for kind in ("requests", "seconds", "gb_s", "cost_usd")]
+    if any(family is None for family in families):
+        return []
+    return [(*row[0][0], *(child.value for __, child in row))
+            for row in zip(*(family.items() for family in families))]
+
+
+def cost_table(metrics: MetricRegistry) -> dict:
     """Per-function and per-tenant request/GB-s/cost attribution.
 
-    Walks every trace's ``faas.billing`` spans (minted once per billed
-    attempt) and charges them to the ``function`` / ``tenant``
-    attributes of the invocation's root span.  Returns::
+    Built from the platform's billing families (see :func:`billing_lines`),
+    so it covers every billed attempt with tracing on or off.  Returns::
 
         {"by_function": {name: {"requests", "gb_s", "cost_usd"}},
          "by_tenant":   {tenant: {...same...}}}
 
     with keys sorted for deterministic iteration.
     """
-    by_function: dict = {}
-    by_tenant: dict = {}
-
-    def credit(table: dict, key: str, gb_s: float, cost: float) -> None:
-        row = table.setdefault(
-            key, {"requests": 0, "gb_s": 0.0, "cost_usd": 0.0}
-        )
-        row["requests"] += 1
-        row["gb_s"] += gb_s
-        row["cost_usd"] += cost
-
-    for trace_id in store.trace_ids():
-        trace = store.trace(trace_id)
-        try:
-            root = trace.root
-        except ValueError:
-            continue
-        function = str(root.attributes.get("function", root.name))
-        tenant = str(root.attributes.get("tenant", "unknown"))
-        for bill in trace.spans_named("faas.billing"):
-            gb_s = float(bill.attributes.get("gb_s", 0.0))
-            cost = float(bill.attributes.get("cost_usd", 0.0))
-            credit(by_function, function, gb_s, cost)
-            credit(by_tenant, tenant, gb_s, cost)
-
-    return {
-        "by_function": dict(sorted(by_function.items())),
-        "by_tenant": dict(sorted(by_tenant.items())),
-    }
+    table: dict = {"by_function": {}, "by_tenant": {}}
+    for function, tenant, requests, __, gb_s, cost in billing_lines(metrics):
+        for side, key in (("by_function", function), ("by_tenant", tenant)):
+            row = table[side].setdefault(
+                key, {"requests": 0, "gb_s": 0.0, "cost_usd": 0.0}
+            )
+            row["requests"] += int(requests)
+            row["gb_s"] += gb_s
+            row["cost_usd"] += cost
+    return {side: dict(sorted(rows.items())) for side, rows in table.items()}
 
 
 def render_cost_table(table: dict) -> str:
@@ -182,18 +177,23 @@ def render_cost_table(table: dict) -> str:
                 f"{row['gb_s']:>12.4f} {row['cost_usd']:>12.6f}"
             )
         if not rows:
-            lines.append("  (no billed traces)")
+            lines.append("  (nothing billed)")
     return "\n".join(lines)
 
 
 class Profiler:
-    """The convenience handle the facade exposes: store in, reports out."""
+    """The convenience handle the facade exposes: traces and the bill in,
+    reports out.  ``store`` is ``None`` when tracing is off; the cost
+    table needs only the platform's ``metrics``."""
 
-    def __init__(self, store: TraceStore):
+    def __init__(self, store: typing.Optional[TraceStore], metrics: MetricRegistry):
         self.store = store
+        self.metrics = metrics
 
     def folded(self) -> typing.List[str]:
         """The aggregated folded-stack profile (see :func:`folded_profile`)."""
+        if self.store is None:
+            raise RuntimeError("tracing is disabled on this Platform")
         return folded_profile(self.store)
 
     def folded_text(self) -> str:
@@ -202,7 +202,7 @@ class Profiler:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def cost_table(self) -> dict:
-        return cost_table(self.store)
+        return cost_table(self.metrics)
 
     def render_cost_table(self) -> str:
         return render_cost_table(self.cost_table())

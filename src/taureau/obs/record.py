@@ -258,15 +258,13 @@ class RunRecorder:
             self._record(f'warm_pool{{function="{name}"}}', warm)
             self._record(f'running{{function="{name}"}}', faas.running_for(name))
         self._record("faas.warm_pool", warm_total)
-        starts = faas.metrics.find("starts_by")
         cold_delta = 0.0
         start_delta = 0.0
-        if starts is not None:
-            for (function, kind), child in starts.items():
-                delta = self._delta(child.name, child.value)
-                start_delta += delta
-                if kind == "cold":
-                    cold_delta += delta
+        for (function, kind), child in faas.metrics.find("starts_by").items():
+            delta = self._delta(child.name, child.value)
+            start_delta += delta
+            if kind == "cold":
+                cold_delta += delta
         self._record(
             "faas.cold_fraction",
             cold_delta / start_delta if start_delta > 0 else 0.0,
@@ -378,7 +376,7 @@ class RunRecorder:
             "events": self._event_streams(),
             "traces": self._trace_trees(),
             "flamegraph": self._flamegraph(),
-            "cost": self._cost(),
+            "cost": self.platform.profiler().cost_table(),
             "dashboard": platform.dashboard(),
             "topology": self._topology(),
         }
@@ -463,11 +461,6 @@ class RunRecorder:
         if self.platform.tracer is None:
             return []
         return self.platform.profile()
-
-    def _cost(self) -> dict:
-        if self.platform.tracer is None:
-            return {"by_function": {}, "by_tenant": {}}
-        return self.platform.profiler().cost_table()
 
     def _topology(self) -> dict:
         platform = self.platform

@@ -387,8 +387,9 @@ class Monitor:
     def _sample_sources(self, now: float) -> None:
         for source, window in self._windows.items():
             metric = self._lookup(source)
-            if metric is None:
-                # Lazily created metrics: a missing counter is a zero.
+            if metric is None or (isinstance(metric, Histogram) and not metric.count):
+                # A missing metric reads as zero, and so does an empty
+                # histogram: binding one early must not change a window.
                 window.push(now, 0.0)
             elif isinstance(metric, Histogram):
                 window.push(now, metric.state())

@@ -1,17 +1,18 @@
-"""Tests for trace-derived profiling: folded stacks and cost tables."""
+"""Tests for profiling: trace-derived folded stacks, metric-derived cost tables."""
 
 import pytest
 
+import taureau
+from taureau.core import FaasPlatform, FunctionSpec
 from taureau.obs import (
     Tracer,
-    TraceStore,
     cost_table,
     folded_profile,
     folded_stacks,
     render_cost_table,
     validate_folded,
 )
-from taureau.sim import Simulation
+from taureau.sim import MetricRegistry, Simulation
 
 
 def build_trace(tracer, offset=0.0):
@@ -93,40 +94,65 @@ class TestFoldedStacks:
         assert build() == build()
 
 
+def billed_platform(tracing=True):
+    """Two invocations of ``f`` and one of ``g`` (tenant acme), one of
+    ``h`` (tenant beta), and a registered ``idle`` never invoked."""
+    app = taureau.Platform(seed=0, tracing=tracing)
+    for name, tenant in (("f", "acme"), ("g", "acme"), ("h", "beta"),
+                         ("idle", "acme")):
+        app.register(FunctionSpec(
+            name=name, handler=lambda event, ctx: ctx.charge(0.25),
+            memory_mb=1024, tenant=tenant,
+        ))
+    for name in ("f", "f", "g", "h"):
+        app.invoke_sync(name)
+    return app
+
+
 class TestCostTable:
     def test_attribution_by_function_and_tenant(self):
-        sim = Simulation(seed=0)
-        tracer = Tracer(sim)
-        build_trace(tracer)
-        build_trace(tracer, offset=10.0)
-        table = cost_table(tracer.store)
+        app = billed_platform()
+        table = cost_table(app.metrics)
+        assert list(table["by_function"]) == ["f", "g", "h"]
         f_row = table["by_function"]["f"]
         assert f_row["requests"] == 2
-        assert f_row["gb_s"] == pytest.approx(1.0)
-        assert f_row["cost_usd"] == pytest.approx(0.004)
-        assert table["by_tenant"]["acme"]["requests"] == 2
+        # 0.25 s rounds up to 0.3 billed seconds at 1 GB.
+        assert f_row["gb_s"] == pytest.approx(0.6)
+        assert table["by_tenant"]["acme"]["requests"] == 3
+        assert table["by_tenant"]["beta"]["requests"] == 1
+        total = sum(row["cost_usd"] for row in table["by_tenant"].values())
+        assert total == pytest.approx(app.total_cost_usd())
 
     def test_unbilled_traces_do_not_appear(self):
-        sim = Simulation(seed=0)
-        tracer = Tracer(sim)
-        span = tracer.start_span("faas.invoke.g", function="g", tenant="t")
-        span.finish(1.0)
-        table = cost_table(tracer.store)
-        assert table == {"by_function": {}, "by_tenant": {}}
+        app = billed_platform()
+        app.faas.set_concurrency_limit("idle", 1)
+        app.config.queue_on_throttle = False
+        app.invoke("idle")
+        throttled = app.invoke_sync("idle")
+        assert throttled.status.value == "throttled"
+        assert throttled.trace_id is not None  # traced, but never billed
+        app.run()
+        table = cost_table(app.metrics)
+        assert table["by_function"]["idle"]["requests"] == 1
+
+    def test_tracing_off_still_costs(self):
+        traced = cost_table(billed_platform().metrics)
+        untraced = billed_platform(tracing=False).profiler().cost_table()
+        assert untraced["by_function"]["f"]["requests"] == 2
+        assert untraced == traced
 
     def test_render_is_stable_text(self):
-        sim = Simulation(seed=0)
-        tracer = Tracer(sim)
-        build_trace(tracer)
-        text = render_cost_table(cost_table(tracer.store))
+        text = render_cost_table(cost_table(billed_platform().metrics))
         assert "cost by function:" in text
         assert "cost by tenant:" in text
         assert "acme" in text
+        assert text == render_cost_table(cost_table(billed_platform().metrics))
 
     def test_empty_store(self):
-        table = cost_table(TraceStore())
-        assert table == {"by_function": {}, "by_tenant": {}}
-        assert "(no billed traces)" in render_cost_table(table)
+        for metrics in (MetricRegistry(), FaasPlatform(Simulation()).metrics):
+            table = cost_table(metrics)
+            assert table == {"by_function": {}, "by_tenant": {}}
+            assert "(nothing billed)" in render_cost_table(table)
 
 
 class TestPlatformProfileSurface:

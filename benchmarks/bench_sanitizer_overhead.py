@@ -22,7 +22,7 @@ Two measurements, with different jobs:
   human-readable table and ``BENCH_sanitizer_overhead.json``.
 
 Run directly (``python benchmarks/bench_sanitizer_overhead.py [--smoke]``);
-``--smoke`` shrinks the invocation count for CI.
+``--smoke`` shrinks the invocation count for CI and writes no file.
 """
 
 import argparse
@@ -157,15 +157,16 @@ def main(argv=None) -> int:
         ),
     )
 
-    out = pathlib.Path(__file__).parent / "BENCH_sanitizer_overhead.json"
-    out.write_text(json.dumps({
-        "invocations": invocations,
-        "plain_s": plain_s,
-        "sanitized_s": sanitized_s,
-        "wall_overhead": wall_overhead,
-        "profiled_share": share,
-        "bound": MAX_OVERHEAD,
-    }, indent=2) + "\n")
+    if not args.smoke:
+        out = pathlib.Path(__file__).parent / "BENCH_sanitizer_overhead.json"
+        out.write_text(json.dumps({
+            "invocations": invocations,
+            "plain_s": plain_s,
+            "sanitized_s": sanitized_s,
+            "wall_overhead": wall_overhead,
+            "profiled_share": share,
+            "bound": MAX_OVERHEAD,
+        }, indent=2) + "\n")
 
     assert share < MAX_OVERHEAD, (
         f"sanitizer profiled share {share:.1%} exceeds the "

@@ -32,6 +32,10 @@ python scripts/lint_smoke.py
 echo "== pytest (tier-1) =="
 python -m pytest -x -q
 
+# Smoke runs must not rewrite committed benchmark results: remember the
+# state of benchmarks/ now and compare it once every smoke has run.
+bench_status_before="$(git status --porcelain -- benchmarks)"
+
 echo "== perfbench smoke: end-to-end workloads (small runs print only) =="
 python3 perfbench/run.py --workload all --seed 1 --seconds 2 --size small
 
@@ -85,5 +89,13 @@ python benchmarks/bench_report_overhead.py --smoke
 
 echo "== bench smoke: incremental lint speedup =="
 python benchmarks/bench_lint_scale.py --smoke
+
+echo "== repo hygiene: smoke runs left benchmarks/ as they found it =="
+bench_status_after="$(git status --porcelain -- benchmarks)"
+if [ "$bench_status_before" != "$bench_status_after" ]; then
+    echo "error: a smoke run changed files under benchmarks/:" >&2
+    diff <(echo "$bench_status_before") <(echo "$bench_status_after") >&2 || true
+    exit 1
+fi
 
 echo "check.sh: all gates passed"

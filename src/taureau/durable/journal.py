@@ -94,10 +94,10 @@ class JournalEntry:
     __slots__ = (
         "entry_id", "function_name", "effects", "cursor", "attempts",
         "recoveries", "billed_slices", "completed", "final_status",
-        "last_error_kind", "invocation_ids",
+        "last_error_kind", "invocation_ids", "_open_ids",
     )
 
-    def __init__(self, entry_id: str, function_name: str):
+    def __init__(self, entry_id: str, function_name: str, open_ids=None):
         self.entry_id = entry_id
         self.function_name = function_name
         self.effects: typing.List[EffectRecord] = []
@@ -116,6 +116,9 @@ class JournalEntry:
         self.last_error_kind: typing.Optional[str] = None
         #: Every platform invocation id that executed under this entry.
         self.invocation_ids: typing.List[str] = []
+        #: The owning journal's open entry ids (a private set if none).
+        self._open_ids: set = set() if open_ids is None else open_ids
+        self._open_ids.add(entry_id)
 
     def begin_attempt(self) -> None:
         """Rewind the replay cursor for a fresh execution attempt.
@@ -131,6 +134,7 @@ class JournalEntry:
         self.completed = False
         self.final_status = None
         self.last_error_kind = None
+        self._open_ids.add(self.entry_id)
 
     def peek(self) -> typing.Optional[EffectRecord]:
         """The journaled effect at the cursor, or ``None`` past the log."""
@@ -166,6 +170,7 @@ class JournalEntry:
         self.completed = True
         self.final_status = status
         self.last_error_kind = error_kind
+        self._open_ids.discard(self.entry_id)
 
     def duplicate_executions(self) -> int:
         """Effect applications beyond the first (exactly-once => 0)."""
@@ -197,6 +202,8 @@ class InvocationJournal:
 
     def __init__(self):
         self.entries: typing.Dict[str, JournalEntry] = {}
+        #: Ids of entries not yet finalized, kept by the entries themselves.
+        self._open_ids: typing.Set[str] = set()
         self._ids = itertools.count()
         #: Scope-keyed orchestration checkpoints: completed DAG nodes
         #: and state-machine steps, ``{scope: {step: result}}``.
@@ -204,7 +211,7 @@ class InvocationJournal:
 
     def open(self, function_name: str) -> JournalEntry:
         """Mint a fresh entry for one logical platform invocation."""
-        entry = JournalEntry(f"je{next(self._ids)}", function_name)
+        entry = JournalEntry(f"je{next(self._ids)}", function_name, self._open_ids)
         self.entries[entry.entry_id] = entry
         return entry
 
@@ -216,15 +223,17 @@ class InvocationJournal:
         """
         entry = self.entries.get(key)
         if entry is None:
-            entry = JournalEntry(key, function_name)
+            entry = JournalEntry(key, function_name, self._open_ids)
             self.entries[key] = entry
         return entry
 
     def open_count(self) -> int:
-        """Entries that have not reached a terminal disposition."""
-        return sum(
-            1 for entry in self.entries.values() if not entry.completed
-        )
+        """Entries that have not reached a terminal disposition.
+
+        O(1): entries add and remove their own ids as they open, re-open
+        and finalize, so no tick ever walks the whole journal.
+        """
+        return len(self._open_ids)
 
     def duplicate_executions(self) -> int:
         """Total effect applications beyond the first, across all entries."""

@@ -32,6 +32,8 @@ so attaching it cannot perturb exporter output.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 import typing
 
@@ -153,8 +155,11 @@ class RunRecorder:
     max_function_lanes / max_topic_lanes:
         Per-function and per-topic series are recorded for at most this
         many names (deployment / creation order); aggregate lanes always
-        record everything.  Keeps tick cost O(lanes), independent of
-        workload scale.
+        record everything.  Keeps tick cost O(lanes): a tick reads
+        instantaneous state and running totals (one pass over the
+        throttle queue and one over the start counters), never the
+        journal, the trace store or anything else that grows with run
+        length.
 
     The recorder is pure observation: it reads instantaneous platform
     state and cumulative metric values (via ``find`` — never creating
@@ -244,27 +249,31 @@ class RunRecorder:
                 series.append(0.0)
 
     def _lane_functions(self) -> typing.List[str]:
-        return self.platform.faas.function_names()[: self.max_function_lanes]
+        functions = self.platform.faas._functions
+        return list(itertools.islice(functions, self.max_function_lanes))
 
     def _sample_faas(self) -> None:
         faas = self.platform.faas
         self._record("faas.queue_depth", faas.pending_count())
+        queued = collections.Counter(a.spec.name for a in faas._pending)
         warm_total = 0
         for name in self._lane_functions():
-            queue = faas.pending_count(name)
+            queue = queued[name]
             warm = faas.warm_pool_size(name)
             warm_total += warm
             self._record(f'queue{{function="{name}"}}', queue)
             self._record(f'warm_pool{{function="{name}"}}', warm)
             self._record(f'running{{function="{name}"}}', faas.running_for(name))
         self._record("faas.warm_pool", warm_total)
-        cold_delta = 0.0
-        start_delta = 0.0
-        for (function, kind), child in faas.metrics.find("starts_by").items():
-            delta = self._delta(child.name, child.value)
-            start_delta += delta
+        # Start counts are integral floats, so these sums (and their
+        # deltas) are exact in any order: no sort, no per-child state.
+        cold = starts = 0.0
+        for (__, kind), child in faas.metrics.find("starts_by")._children.items():
+            starts += child.value
             if kind == "cold":
-                cold_delta += delta
+                cold += child.value
+        cold_delta = self._delta("faas.starts.cold", cold)
+        start_delta = self._delta("faas.starts", starts)
         self._record(
             "faas.cold_fraction",
             cold_delta / start_delta if start_delta > 0 else 0.0,

@@ -21,6 +21,7 @@ No raw samples are retained anywhere.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import typing
 
@@ -203,13 +204,10 @@ class _Window:
 
     def at_or_before(self, time: float):
         """The latest sample at or before ``time`` (step semantics)."""
-        best = None
-        for when, value in zip(self._times, self._values):
-            if when <= time:
-                best = (when, value)
-            else:
-                break
-        return best
+        index = bisect.bisect_right(self._times, time) - 1
+        if index < 0:
+            return None
+        return self._times[index], self._values[index]
 
 
 class _AlertState:
@@ -454,11 +452,8 @@ class Monitor:
             if pair is None or not isinstance(pair[0], tuple):
                 return 0.0, 0.0
             then_state, __ = pair
-            now_state = metric.state()
-            total = now_state[0] - then_state[0]
-            then_below = _count_at_or_below_state(
-                metric, then_state, slo.threshold_s
-            )
+            total = metric.count - then_state[0]
+            then_below = metric.count_at_or_below(slo.threshold_s, then_state)
             now_below = metric.count_at_or_below(slo.threshold_s)
             return float(now_below - then_below), float(total)
         good = self._counter_increase(slo.good, window_s, now)
@@ -550,16 +545,3 @@ class Monitor:
             }
         return status
 
-
-def _count_at_or_below_state(
-    histogram: Histogram, state: tuple, threshold: float
-) -> int:
-    """``count_at_or_below`` evaluated against an earlier snapshot."""
-    __, zero, counts = state
-    if threshold < 0:
-        return 0
-    below = zero
-    for index, count in counts.items():
-        if histogram.bucket_upper(index) <= threshold * (1.0 + 1e-12):
-            below += count
-    return below

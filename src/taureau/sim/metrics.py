@@ -316,20 +316,40 @@ class Histogram:
         """Occupied ``(bucket_index, count)`` pairs, ascending."""
         return sorted(self._counts.items())
 
-    def count_at_or_below(self, threshold: float) -> int:
+    def count_at_or_below(
+        self, threshold: float, state: typing.Optional[tuple] = None
+    ) -> int:
         """How many samples fell at or below ``threshold`` (bucket-exact).
 
         A bucket counts as "below" when its upper bound does — so the
         answer is exact up to one bucket's relative error, which is what
-        latency SLOs need.
+        latency SLOs need.  ``state`` (a :meth:`state` snapshot) answers
+        for that earlier point instead of now.
         """
+        __, zero, counts = state or (self._count, self._zero, self._counts)
         if threshold < 0:
             return 0
-        below = self._zero
-        for index, count in self._counts.items():
-            if self.bucket_upper(index) <= threshold * (1.0 + 1e-12):
-                below += count
-        return below
+        cut = self._cut_index(threshold * (1.0 + 1e-12))
+        return zero + sum(count for index, count in counts.items() if index <= cut)
+
+    def _cut_index(self, limit: float) -> float:
+        """The last bucket index whose upper bound is ``<= limit``.
+
+        Bounds grow with the index, so a log estimate (of the smallest
+        positive float when ``limit`` is 0) plus an exact ``bucket_upper``
+        walk finds it with a few powers, not one per occupied bucket.
+        """
+        if not limit < math.inf:  # inf admits every bucket, NaN none
+            return math.inf if limit == math.inf else -math.inf
+        cut = math.floor(math.log(max(limit, 5e-324)) / self._log_growth) - 1
+        try:
+            while self.bucket_upper(cut + 1) <= limit:
+                cut += 1
+        except OverflowError:  # past the float range, so above any limit
+            pass
+        while self.bucket_upper(cut) > limit:
+            cut -= 1
+        return cut
 
     def state(self) -> tuple:
         """A cheap immutable snapshot for windowed-delta evaluation."""

@@ -11,6 +11,8 @@ silent misparse.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taureau.durable import (
     JOURNAL_VERSION,
@@ -18,6 +20,7 @@ from taureau.durable import (
     JournalDivergenceError,
     JournalVersionError,
 )
+from taureau.durable.journal import JournalEntry
 
 
 class TestJournalEntry:
@@ -80,6 +83,83 @@ class TestJournalEntry:
         assert journal.open_count() == 2
         first.finalize("ok")
         assert journal.open_count() == 1
+
+
+def scanned_open_count(journal):
+    """The reference: walk every entry."""
+    return sum(1 for entry in journal.entries.values() if not entry.completed)
+
+
+class NoScanDict(dict):
+    """An entries map that fails any whole-journal walk."""
+
+    def values(self):
+        raise AssertionError("open_count() walked the journal")
+
+    def items(self):
+        raise AssertionError("open_count() walked the journal")
+
+    def __iter__(self):
+        raise AssertionError("open_count() walked the journal")
+
+
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["open", "open_keyed", "begin", "finalize", "finalize_reopen"]
+        ),
+        st.integers(min_value=0, max_value=7),
+    ),
+    max_size=60,
+)
+
+
+class TestOpenCount:
+    """The journal keeps its open ids itself; they must match a scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=operations)
+    def test_matches_a_full_scan_after_every_step(self, steps):
+        journal = InvocationJournal()
+        for verb, pick in steps:
+            ids = list(journal.entries)
+            entry = journal.entries[ids[pick % len(ids)]] if ids else None
+            if verb == "open":
+                journal.open("fn")
+            elif verb == "open_keyed":
+                # Redeliveries of one message resolve to one entry.
+                journal.open_keyed(f"pulsar:fn:m{pick % 3}", "fn")
+            elif entry is None:
+                continue
+            elif verb == "begin":
+                entry.begin_attempt()
+            elif verb == "finalize":
+                entry.finalize("ok")
+                entry.finalize("error", error_kind="sandbox_crash")
+            else:
+                # A resilient relaunch re-opens a finalized entry.
+                entry.finalize("throttled")
+                entry.begin_attempt()
+            assert journal.open_count() == scanned_open_count(journal)
+
+    def test_open_count_does_not_walk_entries(self):
+        journal = InvocationJournal()
+        journal.entries = NoScanDict()
+        first = journal.open("fn")
+        journal.open_keyed("pulsar:fn:m0", "fn")
+        first.finalize("ok")
+        assert journal.open_count() == 1
+        first.begin_attempt()
+        assert journal.open_count() == 2
+
+    def test_standalone_entry_still_works(self):
+        entry = JournalEntry("solo", "fn")
+        entry.begin_attempt()
+        entry.append("effect:a", 1)
+        entry.finalize("ok")
+        assert entry.completed and entry.final_status == "ok"
+        entry.begin_attempt()
+        assert not entry.completed
 
 
 class TestJournalPersistence:

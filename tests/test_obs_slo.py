@@ -1,6 +1,8 @@
 """Tests for the virtual-time rule engine: rules, SLOs, burn-rate alerts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taureau.obs import (
     BurnRatePolicy,
@@ -8,6 +10,7 @@ from taureau.obs import (
     RecordingRule,
     SloObjective,
 )
+from taureau.obs.slo import _Window
 from taureau.sim import MetricRegistry, Simulation
 
 
@@ -311,3 +314,48 @@ class TestAlertCallbackRegistration:
             self.burn(sim, registry, monitor)
         monitor.listeners.remove(bomb)
         self.burn(sim, registry, monitor, ticks=2)  # no residual lock
+
+
+def scan_at_or_before(window, time):
+    """The reference: walk the samples, keep the last one at or before."""
+    best = None
+    for when, value in zip(window._times, window._values):
+        if when > time:
+            break
+        best = (when, value)
+    return best
+
+
+class TestWindowLookup:
+    """``_Window.at_or_before`` bisects; it must agree with a linear scan
+    before the first sample, on samples, on duplicate times and after
+    the last sample, also once the horizon has dropped old samples."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]), max_size=40),
+        horizon_s=st.sampled_from([1.0, 3.0, 1800.0]),
+    )
+    def test_matches_a_linear_scan(self, steps, horizon_s):
+        window = _Window(horizon_s)
+        assert window.at_or_before(0.0) is None
+        now = 0.0
+        for index, step in enumerate(steps):
+            now += step
+            window.push(now, index)
+        times = window._times
+        queries = [-1.0, now + 1.0, *times, *(t + 0.25 for t in times)]
+        if times:
+            queries.append(times[0] - 1e-9)
+        for query in queries:
+            assert window.at_or_before(query) == scan_at_or_before(
+                window, query
+            ), query
+
+    def test_duplicate_times_return_the_last_sample(self):
+        window = _Window(60.0)
+        for value, time in enumerate([1.0, 2.0, 2.0, 2.0, 3.0]):
+            window.push(time, value)
+        assert window.at_or_before(2.0) == (2.0, 3)
+        assert window.at_or_before(0.5) is None
+        assert window.at_or_before(9.0) == (3.0, 4)

@@ -1,8 +1,13 @@
 """Unit tests for metric recorders."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taureau.sim import Counter, Distribution, MetricRegistry, TimeSeries
+from taureau.sim.metrics import Histogram
 
 
 class TestCounter:
@@ -196,3 +201,68 @@ class TestMetricRegistry:
         # The canonical name collides even via the qualified alias.
         with pytest.raises(ValueError):
             registry.distribution("faas.x")
+
+
+def per_bucket_count(hist, threshold, state=None):
+    """The reference: test every occupied bucket's upper bound."""
+    __, zero, counts = state or hist.state()
+    if threshold < 0:
+        return 0
+    return zero + sum(
+        count for index, count in counts.items()
+        if hist.bucket_upper(index) <= threshold * (1.0 + 1e-12)
+    )
+
+
+samples = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-300, max_value=1e-280),
+        st.floats(min_value=1e-9, max_value=1e9),
+    ),
+    max_size=60,
+)
+
+
+class TestCountAtOrBelow:
+    """``count_at_or_below`` finds the cut bucket once; it must agree
+    with testing each bucket's bound, now and against a snapshot."""
+
+    @staticmethod
+    def thresholds(hist):
+        yield from (0.0, -1.0, -1e-300, 5e-324, 1e-300, math.inf, math.nan)
+        for index in {index for index, __ in hist.bucket_items()}:
+            for power in (index, index + 1, index + 2):
+                bound = hist.growth ** power
+                yield from (bound, bound * (1 + 1e-12), bound * (1 - 1e-12))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        growth=st.sampled_from([1.01, Histogram.DEFAULT_GROWTH, 1.5, 2.0]),
+        before=samples,
+        after=samples,
+    )
+    def test_matches_the_per_bucket_predicate(self, growth, before, after):
+        hist = Histogram("h", growth=growth)
+        hist.extend(before)
+        state = hist.state()
+        hist.extend(after)
+        for threshold in self.thresholds(hist):
+            assert hist.count_at_or_below(threshold) == per_bucket_count(
+                hist, threshold
+            ), threshold
+            assert hist.count_at_or_below(threshold, state) == (
+                per_bucket_count(hist, threshold, state)
+            ), threshold
+
+    def test_infinite_threshold_counts_everything(self):
+        hist = Histogram("h")
+        hist.extend([0.0, 1e-300, 1.0, 1e300])
+        assert hist.count_at_or_below(math.inf) == 4
+        assert hist.count_at_or_below(math.inf, (0, 0, {})) == 0
+
+    def test_huge_finite_threshold_does_not_overflow(self):
+        hist = Histogram("h")
+        hist.extend([1.0, 1e300])
+        assert hist.count_at_or_below(1.79e308) == 2
+        assert hist.count_at_or_below(1e300) == 1

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: lint (when available), the full test suite, a smoke of
-# the end-to-end perfbench workloads, and 2-second smokes of the
-# benches. Run from the repo root:
+# Tier-1 gate: lint (when available), the full test suite, a smoke and
+# the tests of the end-to-end perfbench workloads, and 2-second smokes
+# of the benches. Run from the repo root:
 #
 #   scripts/check.sh
 set -euo pipefail
@@ -38,6 +38,9 @@ bench_status_before="$(git status --porcelain -- benchmarks)"
 
 echo "== perfbench smoke: end-to-end workloads (small runs print only) =="
 python3 perfbench/run.py --workload all --seed 1 --seconds 2 --size small
+
+echo "== perfbench tests: same-seed and heap == wheel digests, layer counts =="
+python3 -m pytest perfbench -q
 
 echo "== bench smoke: batch data plane =="
 python benchmarks/bench_sketch_batch.py --smoke

@@ -13,7 +13,7 @@ import typing
 
 from taureau.baas.sizing import estimate_size_mb
 from taureau.core.calibration import DEFAULT_CALIBRATION, Calibration
-from taureau.sim import MetricRegistry, Simulation
+from taureau.sim import MetricHandles, MetricRegistry, Simulation
 
 __all__ = ["ConditionFailed", "KvItem", "KvStore"]
 
@@ -44,6 +44,21 @@ class KvStore:
         self.name = name
         self.calibration = calibration
         self.metrics = MetricRegistry(namespace="baas.kv")
+        self._handles = MetricHandles(
+            gets=lambda: self.metrics.counter("gets"),
+            puts=lambda: self.metrics.counter("puts"),
+            deletes=lambda: self.metrics.counter("deletes"),
+            condition_failures=lambda: self.metrics.counter(
+                "condition_failures"),
+            io_size_mb=lambda: self.metrics.histogram("io_size_mb"),
+            ops_by=lambda: self.metrics.labeled_counter("ops_by", ("op",)),
+            # The ops_by children, named after their op (see _charge).
+            get=lambda: self._handles.ops_by.labels(op="get"),
+            put=lambda: self._handles.ops_by.labels(op="put"),
+            put_if_version=lambda: self._handles.ops_by.labels(
+                op="put_if_version"),
+            delete=lambda: self._handles.ops_by.labels(op="delete"),
+        )
         self._items: typing.Dict[str, KvItem] = {}
         # Fault-plane gate (set by Platform._gate_client when a chaos
         # plan / resilience policy is installed; all None by default).
@@ -83,7 +98,7 @@ class KvStore:
         version = (current.version + 1) if current else 1
         self._items[key] = KvItem(value, version, size)
         self._charge(ctx, size, op="put", key=key)
-        self.metrics.counter("puts").add()
+        self._handles.puts.add()
         return version
 
     def put_if_version(
@@ -109,7 +124,7 @@ class KvStore:
         current_version = current.version if current else 0
         self._charge(ctx, 0.0, op="put_if_version", key=key)
         if current_version != expected_version:
-            self.metrics.counter("condition_failures").add()
+            self._handles.condition_failures.add()
             raise ConditionFailed(
                 f"{key}: expected v{expected_version}, found v{current_version}"
             )
@@ -121,7 +136,7 @@ class KvStore:
         if item is None:
             raise KeyError(key)
         self._charge(ctx, item.size_mb, op="get", key=key)
-        self.metrics.counter("gets").add()
+        self._handles.gets.add()
         return item.value
 
     def get_item(self, key: str, ctx=None) -> KvItem:
@@ -131,7 +146,7 @@ class KvStore:
         if item is None:
             raise KeyError(key)
         self._charge(ctx, item.size_mb, op="get", key=key)
-        self.metrics.counter("gets").add()
+        self._handles.gets.add()
         return item
 
     def delete(self, key: str, ctx=None) -> None:
@@ -146,7 +161,7 @@ class KvStore:
             raise KeyError(key)
         del self._items[key]
         self._charge(ctx, 0.0, op="delete", key=key)
-        self.metrics.counter("deletes").add()
+        self._handles.deletes.add()
 
     def counter_add(self, key: str, delta: float = 1.0, ctx=None) -> float:
         """Atomic numeric increment (creates the counter at 0).
@@ -176,9 +191,9 @@ class KvStore:
     def __len__(self) -> int:
         return len(self._items)
 
-    def _charge(self, ctx, size_mb: float, op: str = "io", key: str = "") -> None:
-        self.metrics.labeled_counter("ops_by", ("op",)).add(op=op)
-        self.metrics.histogram("io_size_mb").observe(size_mb)
+    def _charge(self, ctx, size_mb: float, op: str, key: str = "") -> None:
+        getattr(self._handles, op).add()
+        self._handles.io_size_mb.observe(size_mb)
         if ctx is None:
             return
         latency = self.calibration.kv_transfer_latency(size_mb)

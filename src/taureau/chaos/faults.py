@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from taureau.sim import MetricRegistry
+from taureau.sim import MetricHandles, MetricRegistry
 
 __all__ = [
     "FaultInjected",
@@ -244,6 +244,13 @@ class ChaosController:
         self.sim = platform.sim
         self.plan = plan
         self.metrics = MetricRegistry(namespace="chaos")
+        self._handles = MetricHandles(
+            faults_injected_by=lambda: self.metrics.labeled_counter(
+                "faults_injected_by", ("kind",)),
+            retries_by=lambda: self.metrics.labeled_counter(
+                "retries_by", ("component", "outcome")),
+            injected_delay_s=lambda: self.metrics.counter("injected_delay_s"),
+        )
         #: Faults that actually happened, in firing order.
         self.events: typing.List[FaultEvent] = []
         #: Active and future error/latency windows.
@@ -319,9 +326,7 @@ class ChaosController:
                            detail=detail)
         self.events.append(event)
         if count:
-            self.metrics.labeled_counter("faults_injected_by", ("kind",)).add(
-                kind=kind
-            )
+            self._handles.faults_injected_by.add(kind=kind)
         tracer = self.sim.tracer
         if tracer is not None:
             tracer.record(
@@ -471,9 +476,8 @@ class ChaosController:
         """
         if not self.windows:
             return
-        retries = self.metrics.labeled_counter(
-            "retries_by", ("component", "outcome")
-        )
+        handles = self._handles
+        retries = handles.retries_by
         attempts = 0
         while True:
             now = self.sim.now + (ctx.accrued_s if ctx is not None else 0.0)
@@ -486,13 +490,11 @@ class ChaosController:
                 extra = self._extra_latency(component, now)
                 if extra > 0.0:
                     self._charge(ctx, extra, f"chaos.delay.{component}")
-                    self.metrics.counter("injected_delay_s").add(extra)
+                    handles.injected_delay_s.add(extra)
                 if attempts:
                     retries.add(component=component, outcome="recovered")
                 return
-            self.metrics.labeled_counter("faults_injected_by", ("kind",)).add(
-                kind=window.kind
-            )
+            handles.faults_injected_by.add(kind=window.kind)
             if policy is None or ctx is None or attempts >= policy.max_attempts:
                 if attempts:
                     retries.add(component=component, outcome="exhausted")

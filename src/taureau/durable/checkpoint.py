@@ -66,10 +66,10 @@ class CheckpointScope:
     def get(self, step: str):
         """The journaled result of a completed step (counts as a hit)."""
         value = self._steps()[f"{self.prefix}{step}"]
-        self.manager.metrics.counter("checkpoint_hits").add()
+        self.manager.counters["checkpoint_hits"].add()
         return value
 
     def put(self, step: str, value) -> None:
         """Journal a completed step's result under this scope."""
         self._steps()[f"{self.prefix}{step}"] = value
-        self.manager.metrics.counter("checkpoint_writes").add()
+        self.manager.counters["checkpoint_writes"].add()

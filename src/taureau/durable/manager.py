@@ -24,6 +24,13 @@ from taureau.sim.metrics import MetricRegistry
 
 __all__ = ["DurabilityPolicy", "DurabilityManager", "AttemptJournal"]
 
+#: The manager's counters, in ``summary()`` order.
+_COUNTERS = (
+    "entries_opened", "effects_journaled", "effects_replayed", "recoveries",
+    "recoveries_exhausted", "billing_credit_slices", "messages_deduped",
+    "checkpoint_hits", "checkpoint_writes",
+)
+
 
 @dataclasses.dataclass
 class DurabilityPolicy:
@@ -77,14 +84,10 @@ class DurabilityManager:
         self.journal = InvocationJournal()
         self.checkpointer = Checkpointer(self)
         self.metrics = MetricRegistry(namespace="durable")
-        # Created eagerly so dashboards and recorder lanes carry the
-        # full durable family even before the first effect lands.
-        for name in (
-            "entries_opened", "effects_journaled", "effects_replayed",
-            "recoveries", "recoveries_exhausted", "billing_credit_slices",
-            "messages_deduped", "checkpoint_hits", "checkpoint_writes",
-        ):
-            self.metrics.counter(name)
+        #: Short name -> counter, created eagerly so dashboards and
+        #: recorder lanes carry the full durable family even before the
+        #: first effect lands; the effect path records through it.
+        self.counters = {name: self.metrics.counter(name) for name in _COUNTERS}
         # Re-entrancy latch: an effect executing under the journal may
         # itself call journaled client methods (counter_add -> put,
         # db.put -> commit); the outer apply is the atomic unit, inner
@@ -95,14 +98,14 @@ class DurabilityManager:
 
     def open_entry(self, function_name: str) -> JournalEntry:
         """A fresh journal entry for one logical platform invocation."""
-        self.metrics.counter("entries_opened").add()
+        self.counters["entries_opened"].add()
         return self.journal.open(function_name)
 
     def message_entry(self, function_name: str, key: str) -> JournalEntry:
         """The stable entry for one message delivery (redelivery-safe)."""
         entry = self.journal.entries.get(key)
         if entry is None:
-            self.metrics.counter("entries_opened").add()
+            self.counters["entries_opened"].add()
             entry = self.journal.open_keyed(key, function_name)
         return entry
 
@@ -136,7 +139,7 @@ class DurabilityManager:
         record = entry.peek()
         if record is not None:
             replayed = entry.replay(label)
-            self.metrics.counter("effects_replayed").add()
+            self.counters["effects_replayed"].add()
             self._charge(ctx, self.policy.journal_read_latency_s,
                          "durable.replay", label)
             return replayed.result
@@ -146,7 +149,7 @@ class DurabilityManager:
         finally:
             self._applying = False
         entry.append(label, result)
-        self.metrics.counter("effects_journaled").add()
+        self.counters["effects_journaled"].add()
         self._charge(ctx, self.policy.journal_write_latency_s,
                      "durable.journal", label)
         return result
@@ -169,10 +172,10 @@ class DurabilityManager:
         if not isinstance(error, FaultInjected):
             return False
         if entry.recoveries >= self.policy.max_recoveries:
-            self.metrics.counter("recoveries_exhausted").add()
+            self.counters["recoveries_exhausted"].add()
             return False
         entry.recoveries += 1
-        self.metrics.counter("recoveries").add()
+        self.counters["recoveries"].add()
         self.metrics.labeled_counter("recoveries_by", ("kind",)).add(
             kind=error.kind
         )
@@ -196,7 +199,7 @@ class DurabilityManager:
         billable = max(0, slices - prior)
         credited = slices - billable
         if credited:
-            self.metrics.counter("billing_credit_slices").add(credited)
+            self.counters["billing_credit_slices"].add(credited)
         entry.billed_slices = max(prior, slices)
         return billable
 
@@ -205,13 +208,7 @@ class DurabilityManager:
     def summary(self) -> dict:
         """The ``dashboard()["durable"]`` document (JSON-able, stable)."""
         counters = {
-            name: int(self.metrics.counter(name).value)
-            for name in (
-                "entries_opened", "effects_journaled", "effects_replayed",
-                "recoveries", "recoveries_exhausted",
-                "billing_credit_slices", "messages_deduped",
-                "checkpoint_hits", "checkpoint_writes",
-            )
+            name: int(counter.value) for name, counter in self.counters.items()
         }
         counters["entries_open"] = self.journal.open_count()
         counters["entries_completed"] = (

@@ -583,24 +583,25 @@ class Platform:
 
     @staticmethod
     def _registries_of(subsystem) -> list:
-        registries = []
-        direct = getattr(subsystem, "metrics", None)
-        if direct is not None:
-            registries.append(direct)
+        """The subsystem's registries, each once (a cluster's nodes of one
+        role share a registry)."""
+        found = [getattr(subsystem, "metrics", None)]
         # One hop of well-known children (FunctionsRuntime.cluster's
         # brokers/bookies, JiffyController.pool, ...).
         for attr in ("pool", "cluster"):
             child = getattr(subsystem, attr, None)
             if child is None:
                 continue
-            child_metrics = getattr(child, "metrics", None)
-            if child_metrics is not None:
-                registries.append(child_metrics)
+            found.append(getattr(child, "metrics", None))
             for group in ("brokers", "bookies"):
                 for node in getattr(child, group, []) or []:
-                    node_metrics = getattr(node, "metrics", None)
-                    if node_metrics is not None:
-                        registries.append(node_metrics)
+                    found.append(getattr(node, "metrics", None))
+        registries = []
+        for registry in found:
+            if registry is not None and not any(
+                registry is seen for seen in registries
+            ):
+                registries.append(registry)
         return registries
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ import bisect
 import dataclasses
 import typing
 
-from taureau.sim.metrics import Histogram, MetricRegistry
+from taureau.sim.metrics import Histogram, MetricHandles, MetricRegistry
 
 __all__ = [
     "RecordingRule",
@@ -273,6 +273,9 @@ class Monitor:
         self.listeners: typing.List[typing.Callable] = []
         self.ticks = 0
         self._windows: typing.Dict[str, _Window] = {}
+        # Rule / SLO name -> the result series its ticks record into.
+        self._rule_series: typing.Dict[str, MetricHandles] = {}
+        self._slo_series: typing.Dict[str, MetricHandles] = {}
         self._alert_states: typing.List[_AlertState] = []
         self._scheduled = False
         self._in_tick = False
@@ -285,6 +288,8 @@ class Monitor:
         if any(existing.name == rule.name for existing in self.rules):
             raise ValueError(f"recording rule {rule.name!r} already exists")
         self.rules.append(rule)
+        self._rule_series[rule.name] = MetricHandles(
+            value=lambda: self.results.series(rule.name))
         horizon = rule.window_s
         self._reserve_window(rule.source, horizon)
         if rule.denominator:
@@ -295,6 +300,12 @@ class Monitor:
         if any(existing.name == slo.name for existing in self.slos):
             raise ValueError(f"slo {slo.name!r} already exists")
         self.slos.append(slo)
+        self._slo_series[slo.name] = MetricHandles(
+            error_ratio=lambda: self.results.series(
+                f"slo.{slo.name}.error_ratio"),
+            budget_remaining=lambda: self.results.series(
+                f"slo.{slo.name}.budget_remaining"),
+        )
         horizon = max(
             [slo.window_s]
             + [policy.long_window_s for policy in slo.burn_policies]
@@ -367,7 +378,7 @@ class Monitor:
             for rule in self.rules:
                 value = self._evaluate_rule(rule, now)
                 if value is not None:
-                    self.results.series(rule.name).record(now, value)
+                    self._rule_series[rule.name].value.record(now, value)
             for slo in self.slos:
                 self._record_slo(slo, now)
             for state in self._alert_states:
@@ -485,12 +496,9 @@ class Monitor:
         return 1.0 - self.burn_rate(slo, slo.window_s)
 
     def _record_slo(self, slo: SloObjective, now: float) -> None:
-        self.results.series(f"slo.{slo.name}.error_ratio").record(
-            now, self.error_ratio(slo, slo.window_s, now)
-        )
-        self.results.series(f"slo.{slo.name}.budget_remaining").record(
-            now, self.error_budget_remaining(slo)
-        )
+        series = self._slo_series[slo.name]
+        series.error_ratio.record(now, self.error_ratio(slo, slo.window_s, now))
+        series.budget_remaining.record(now, self.error_budget_remaining(slo))
 
     def _evaluate_alert(self, state: _AlertState, now: float) -> None:
         policy = state.policy

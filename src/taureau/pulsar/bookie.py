@@ -20,7 +20,7 @@ import itertools
 import math
 import typing
 
-from taureau.sim import MetricRegistry, Simulation
+from taureau.sim import MetricHandles, MetricRegistry, Simulation
 
 __all__ = ["Bookie", "LedgerEntry", "Ledger", "LedgerClosed", "EntryUnavailable"]
 
@@ -77,6 +77,10 @@ class Bookie:
         self.admission_interval_s = 1.0 / max_throughput_eps
         self.alive = True
         self.metrics = MetricRegistry(namespace="pulsar.bookie")
+        self._handles = MetricHandles(
+            appends=lambda: self.metrics.counter("appends"),
+            admission_wait=lambda: self.metrics.histogram("admission_wait_s"),
+        )
         self._next_free = 0.0
         self._entries: set = set()  # (ledger_id, entry_id)
 
@@ -87,17 +91,21 @@ class Bookie:
         start = max(self.sim.now, self._next_free)
         self._next_free = start + self.admission_interval_s
         self._entries.add((ledger_id, entry_id))
-        self.metrics.counter("appends").add()
+        self._handles.appends.add()
         # Admission wait: how long the entry queued behind the bookie's
         # throughput cap before its write slot opened.  (An append issued
         # at t=inf — a never-acked quorum's retry — has no meaningful wait.)
         wait = start - self.sim.now
         if math.isfinite(wait):
-            self.metrics.histogram("admission_wait_s").observe(wait)
+            self._handles.admission_wait.observe(wait)
         return start + self.append_latency_s
 
     def holds(self, ledger_id: int, entry_id: int) -> bool:
         return self.alive and (ledger_id, entry_id) in self._entries
+
+    def drop(self, ledger_id: int, entry_id: int) -> None:
+        """Forget an entry (e.g. once offloaded to another tier)."""
+        self._entries.discard((ledger_id, entry_id))
 
     def crash(self) -> None:
         self.alive = False

@@ -28,7 +28,7 @@ from taureau.pulsar.topic import (
     Subscription,
     SubscriptionType,
 )
-from taureau.sim import Event, MetricRegistry, Simulation
+from taureau.sim import Event, MetricHandles, MetricRegistry, Simulation
 
 __all__ = ["BrokerTopic", "Broker"]
 
@@ -96,6 +96,23 @@ class Broker:
         self.alive = True
         self.topics: typing.Dict[str, BrokerTopic] = {}
         self.metrics = MetricRegistry(namespace="pulsar")
+        self._handles = MetricHandles(
+            backlog_expired=lambda: self.metrics.counter("backlog_expired"),
+            messages_persisted=lambda: self.metrics.counter(
+                "messages_persisted"),
+            bytes_persisted_mb=lambda: self.metrics.counter(
+                "bytes_persisted_mb"),
+            messages_by=lambda: self.metrics.labeled_counter(
+                "messages_by", ("topic",)),
+            bytes_by=lambda: self.metrics.labeled_counter(
+                "bytes_by", ("topic",)),
+            persist_latency_by=lambda: self.metrics.labeled_histogram(
+                "persist_latency_by", ("topic",)),
+        )
+        # Topic name -> its children of the families above.  Kept after
+        # a topic moves on: a message this broker persisted before the
+        # hand-off still acks (and counts) here.
+        self._topic_handles: typing.Dict[str, MetricHandles] = {}
         self._next_free = 0.0
         # Clusters share one counter across their brokers so ledger ids
         # stay unique and replayable; standalone brokers fall back to
@@ -111,13 +128,23 @@ class Broker:
         if name in self.topics:
             raise ValueError(f"{self.broker_id} already owns {name!r}")
         topic = BrokerTopic(name, self._new_ledger(), retention_s=retention_s)
-        self.topics[name] = topic
+        self._take(topic)
         return topic
 
     def adopt_topic(self, topic: BrokerTopic) -> None:
         """Take over a topic from a failed peer (stateless hand-off)."""
         topic.rotate_ledger(self._new_ledger())
-        self.topics[topic.name] = topic
+        self._take(topic)
+
+    def _take(self, topic: BrokerTopic) -> None:
+        handles, name = self._handles, topic.name
+        self._topic_handles.setdefault(name, MetricHandles(
+            messages=lambda: handles.messages_by.labels(topic=name),
+            bytes=lambda: handles.bytes_by.labels(topic=name),
+            persist_latency=lambda: handles.persist_latency_by.labels(
+                topic=name),
+        ))
+        self.topics[name] = topic
 
     def release_topic(self, name: str) -> BrokerTopic:
         return self.topics.pop(name)
@@ -205,23 +232,19 @@ class Broker:
                span=None) -> None:
         topic.backlog.append(message)
         dropped = topic.prune_backlog(self.sim.now)
+        handles = self._handles
         if dropped:
-            self.metrics.counter("backlog_expired").add(dropped)
-        self.metrics.counter("messages_persisted").add()
-        self.metrics.counter("bytes_persisted_mb").add(message.size_mb)
-        self.metrics.labeled_counter("messages_by", ("topic",)).add(
-            topic=topic.name
-        )
-        self.metrics.labeled_counter("bytes_by", ("topic",)).add(
-            message.size_mb, topic=topic.name
-        )
+            handles.backlog_expired.add(dropped)
+        handles.messages_persisted.add()
+        handles.bytes_persisted_mb.add(message.size_mb)
+        per_topic = self._topic_handles[topic.name]
+        per_topic.messages.add()
+        per_topic.bytes.add(message.size_mb)
         persist_latency = self.sim.now - message.publish_time
         if math.isfinite(persist_latency):
             # A crashed-quorum append acks at t=inf; that is "never", not
             # a latency sample.
-            self.metrics.labeled_histogram(
-                "persist_latency_by", ("topic",)
-            ).observe(persist_latency, topic=topic.name)
+            per_topic.persist_latency.observe(persist_latency)
         for subscription in topic.subscriptions.values():
             if span is not None:
                 self.sim.tracer.record(

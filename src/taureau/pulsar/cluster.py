@@ -102,6 +102,13 @@ class PulsarCluster:
             )
             for index in range(broker_count)
         ]
+        # The nodes of one role share a registry, so a merged snapshot
+        # sums them; per-node registries under one namespace would each
+        # overwrite the last.
+        for nodes in (self.bookies, self.brokers):
+            for node in nodes[1:]:
+                node.metrics = nodes[0].metrics
+        self._brokers_by_id = {broker.broker_id: broker for broker in self.brokers}
         self._assignment_rr = itertools.count()
 
     # ------------------------------------------------------------------
@@ -137,9 +144,9 @@ class PulsarCluster:
         return self.metadata.get(f"/topics/{name}")
 
     def broker_of(self, partition_name: str) -> Broker:
-        broker_id = self.metadata.get(f"/assignments/{partition_name}")
-        broker = next(b for b in self.brokers if b.broker_id == broker_id)
-        return broker
+        return self._brokers_by_id[
+            self.metadata.get(f"/assignments/{partition_name}")
+        ]
 
     def topics(self) -> list:
         return [

@@ -18,7 +18,7 @@ import typing
 
 from taureau.pulsar.cluster import PulsarCluster
 from taureau.pulsar.topic import Message, SubscriptionType
-from taureau.sim import MetricRegistry
+from taureau.sim import MetricHandles, MetricRegistry
 
 __all__ = ["FunctionContext", "PulsarFunction", "FunctionsRuntime"]
 
@@ -182,6 +182,7 @@ class FunctionsRuntime:
         if function.name in self._deployed:
             raise ValueError(f"function {function.name!r} is already deployed")
         context = FunctionContext(self, function)
+        handles = self._function_handles(function.name)
         failures: dict = {}
         max_redeliveries = (
             function.max_redeliveries
@@ -191,7 +192,7 @@ class FunctionsRuntime:
 
         if function.process_batch is not None:
             listener = self._batch_listener(
-                function, context, failures, max_redeliveries
+                function, context, handles, failures, max_redeliveries
             )
             for topic in function.input_topics:
                 for _instance in range(function.parallelism):
@@ -214,7 +215,7 @@ class FunctionsRuntime:
                 if entry.completed:
                     # The first delivery fully processed this message;
                     # a redelivery acks without reprocessing.
-                    self.durable.metrics.counter("messages_deduped").add()
+                    self.durable.counters["messages_deduped"].add()
                     consumer.ack(message)
                     return
                 entry.begin_attempt()
@@ -240,14 +241,14 @@ class FunctionsRuntime:
             except Exception:
                 if fn_span is not None:
                     fn_span.finish(self.cluster.sim.now, status="error")
-                self.metrics.counter(f"{function.name}.process_errors").add()
+                handles.process_errors.add()
                 count = failures.get(message.message_id, 0) + 1
                 failures[message.message_id] = count
                 if count <= max_redeliveries:
                     consumer.nack(message)
                 else:
                     # Dead-letter: stop redelivering a poison message.
-                    self._dead_letter(function, message)
+                    self._dead_letter(function, handles, message)
                     if entry is not None:
                         self.durable.finalize(entry, "dead_lettered")
                     consumer.ack(message)
@@ -262,7 +263,7 @@ class FunctionsRuntime:
                 )
             if entry is not None:
                 self.durable.finalize(entry, "ok")
-            self.metrics.counter(f"{function.name}.processed").add()
+            handles.processed.add()
             if result is not None and function.output_topic is not None:
                 self.cluster.producer(function.output_topic).send(
                     result, key=message.key,
@@ -287,6 +288,7 @@ class FunctionsRuntime:
         self,
         function: PulsarFunction,
         context: FunctionContext,
+        handles: MetricHandles,
         failures: dict,
         max_redeliveries: int,
     ):
@@ -320,7 +322,7 @@ class FunctionsRuntime:
             try:
                 results = function.process_batch(payloads, context)
             except Exception:
-                self.metrics.counter(f"{function.name}.process_errors").add()
+                handles.process_errors.add()
                 if len(batch) > 1:
                     # Isolate the poison message: retry one by one.
                     for entry in batch:
@@ -333,13 +335,13 @@ class FunctionsRuntime:
                     consumer.nack(message)
                 else:
                     # Dead-letter: stop redelivering a poison message.
-                    self._dead_letter(function, message)
+                    self._dead_letter(function, handles, message)
                     consumer.ack(message)
                 return
             finally:
                 context._message = None
-            self.metrics.counter(f"{function.name}.processed").add(len(batch))
-            self.metrics.counter(f"{function.name}.batches").add()
+            handles.processed.add(len(batch))
+            handles.batches.add()
             if results is not None and function.output_topic is not None:
                 producer = self.cluster.producer(function.output_topic)
                 for result in results:
@@ -366,17 +368,29 @@ class FunctionsRuntime:
 
         return listener
 
-    def _dead_letter(self, function: PulsarFunction, message: Message) -> None:
+    def _function_handles(self, name: str) -> MetricHandles:
+        """One deployed function's metric handles (bound at first use)."""
+        return MetricHandles(
+            processed=lambda: self.metrics.counter(f"{name}.processed"),
+            batches=lambda: self.metrics.counter(f"{name}.batches"),
+            process_errors=lambda: self.metrics.counter(
+                f"{name}.process_errors"),
+            dead_lettered=lambda: self.metrics.counter(
+                f"{name}.dead_lettered"),
+            dead_letters=lambda: self.metrics.labeled_counter(
+                "dead_letters_by", ("function",)).labels(function=name),
+        )
+
+    def _dead_letter(self, function: PulsarFunction, handles: MetricHandles,
+                     message: Message) -> None:
         """Count a poison message and forward it to the DLQ topic (if any).
 
         The DLQ topic is auto-created on first use so operators can
         declare it lazily; the forwarded message keeps the original
         payload, key and trace context for post-mortem replay.
         """
-        self.metrics.counter(f"{function.name}.dead_lettered").add()
-        self.metrics.labeled_counter("dead_letters_by", ("function",)).add(
-            function=function.name
-        )
+        handles.dead_lettered.add()
+        handles.dead_letters.add()
         topic = function.dead_letter_topic
         if topic is None:
             return
@@ -405,12 +419,14 @@ class FunctionsRuntime:
         execution-level retry).
         """
         subscription = subscription_name or f"trigger-{function_name}"
+        handles = MetricHandles(fired=lambda: self.metrics.counter(
+            f"trigger.{function_name}.fired"))
 
         def listener(message: Message, consumer) -> None:
             # Explicit propagation: the invocation joins the message's trace.
             platform.invoke(function_name, message.payload, parent=message.trace)
             consumer.ack(message)
-            self.metrics.counter(f"trigger.{function_name}.fired").add()
+            handles.fired.add()
 
         self.cluster.subscribe(
             topic, subscription, SubscriptionType.SHARED, listener=listener

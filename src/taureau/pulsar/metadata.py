@@ -14,7 +14,7 @@ import itertools
 import typing
 
 from taureau.core.calibration import DEFAULT_CALIBRATION, Calibration
-from taureau.sim import MetricRegistry, Simulation
+from taureau.sim import MetricHandles, MetricRegistry, Simulation
 
 __all__ = ["MetadataStore"]
 
@@ -28,6 +28,9 @@ class MetadataStore:
         self.sim = sim
         self.calibration = calibration
         self.metrics = MetricRegistry(namespace="pulsar.metadata")
+        self._handles = MetricHandles(
+            operations=lambda: self.metrics.counter("operations")
+        )
         self._data: dict = {}
         self._sequences = itertools.count(1)
 
@@ -70,4 +73,4 @@ class MetadataStore:
         return self.calibration.zookeeper_op_s
 
     def _op(self) -> None:
-        self.metrics.counter("operations").add()
+        self._handles.operations.add()

@@ -50,7 +50,7 @@ class TieredStorage:
             )
             moved_mb += entry.size_mb
             for bookie in entry.bookies:
-                bookie._entries.discard((ledger.ledger_id, entry.entry_id))
+                bookie.drop(ledger.ledger_id, entry.entry_id)
         self._offloaded.add(ledger.ledger_id)
         self.metrics.counter("ledgers_offloaded").add()
         self.metrics.counter("mb_offloaded").add(moved_mb)

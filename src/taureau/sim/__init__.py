@@ -18,6 +18,7 @@ from taureau.sim.metrics import (
     LabeledCounter,
     LabeledGauge,
     LabeledHistogram,
+    MetricHandles,
     MetricRegistry,
     TimeSeries,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "LabeledGauge",
     "LabeledHistogram",
     "TimeSeries",
+    "MetricHandles",
     "MetricRegistry",
     "RngRegistry",
     "derive_seed",

@@ -38,6 +38,7 @@ __all__ = [
     "LabeledGauge",
     "LabeledHistogram",
     "TimeSeries",
+    "MetricHandles",
     "MetricRegistry",
 ]
 
@@ -561,6 +562,31 @@ class LabeledHistogram(_LabeledFamily):
 
     def observe(self, value: float, **labels) -> None:
         self.labels(**labels).observe(value)
+
+
+class MetricHandles:
+    """Named metric handles, each bound at its first use.
+
+    Every keyword names a handle and gives a zero-argument factory,
+    usually one registry lookup:
+    ``MetricHandles(appends=lambda: registry.counter("appends"))``.  The
+    first read of ``handles.appends`` calls the factory and keeps the
+    result as a plain attribute, so later records skip the registry.
+    Binding at first use rather than at construction creates each metric
+    at its first record, just as a lookup per record would: a handle that
+    is never used adds no snapshot key, and ``snapshot()`` keeps its order.
+    """
+
+    def __init__(self, **factories: typing.Callable[[], object]):
+        self._factories = factories
+
+    def __getattr__(self, name: str):
+        factory = vars(self).get("_factories", {}).get(name)
+        if factory is None:
+            raise AttributeError(name)
+        handle = factory()
+        setattr(self, name, handle)
+        return handle
 
 
 class MetricRegistry:

@@ -46,6 +46,7 @@ class CalendarQueue:
         "_current",
         "_pos",
         "_overflow",
+        "_infinite",
     )
 
     def __init__(self, bucket_width_s: float = 1.0):
@@ -61,10 +62,14 @@ class CalendarQueue:
         #: cursor, and a side heap for entries scheduled *into* the
         #: current bucket's time range after it was sorted (same-time
         #: cascades are common — event callbacks scheduling follow-ups).
-        self._current_key: typing.Optional[int] = None
+        self._current_key: typing.Optional[float] = None
         self._current: list = []
         self._pos = 0
         self._overflow: list = []
+        #: Entries at t=inf (an event that never comes, e.g. the ack of
+        #: an append whose quorum crashed) have no bucket; they wait in a
+        #: side heap that loads as one last bucket after every finite one.
+        self._infinite: list = []
 
     def __len__(self) -> int:
         return self._len
@@ -74,7 +79,12 @@ class CalendarQueue:
 
     def push(self, entry: tuple) -> None:
         """Insert one entry; O(1) amortized off the current bucket."""
-        key = int(entry[0] / self._width)
+        try:
+            key = int(entry[0] / self._width)
+        except OverflowError:
+            heapq.heappush(self._infinite, entry)
+            self._len += 1
+            return
         if self._current_key is not None and key <= self._current_key:
             heapq.heappush(self._overflow, entry)
         else:
@@ -102,6 +112,15 @@ class CalendarQueue:
                 self._current = bucket
                 self._pos = 0
                 return
+        if self._infinite:
+            # Every finite key is below this one, so a finite entry pushed
+            # while t=inf entries are current lands in ``_overflow`` and
+            # still pops first.
+            self._current_key = float("inf")
+            self._current, self._infinite = self._infinite, []
+            self._current.sort()
+            self._pos = 0
+            return
         # Queue fully drained; later pushes start fresh buckets.
         self._current_key = None
         self._current = []

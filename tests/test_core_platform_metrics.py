@@ -10,26 +10,7 @@ import pytest
 
 import taureau
 from taureau.core import CostReport, FaasPlatform, FunctionSpec
-from taureau.sim import MetricRegistry, Simulation
-
-#: Every MetricRegistry method that resolves a metric by name.
-LOOKUPS = ("counter", "gauge", "histogram", "distribution", "series",
-           "labeled_counter", "labeled_gauge", "labeled_histogram")
-
-
-@pytest.fixture
-def lookups(monkeypatch):
-    """A list that grows by one method name per registry lookup."""
-    calls = []
-    for name in LOOKUPS:
-        original = getattr(MetricRegistry, name)
-
-        def counted(self, *args, _original=original, _name=name, **kwargs):
-            calls.append(_name)
-            return _original(self, *args, **kwargs)
-
-        monkeypatch.setattr(MetricRegistry, name, counted)
-    return calls
+from taureau.sim import Simulation
 
 
 def work(event, ctx):

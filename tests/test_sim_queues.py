@@ -7,6 +7,7 @@ event sequence as the heap oracle — including under adversarial
 interleavings of bulk runs, same-timestamp cascades and mid-run pauses.
 """
 
+import heapq
 import random
 
 import pytest
@@ -80,6 +81,39 @@ class TestCalendarQueue:
         for entry in entries:
             other.push(entry)
         assert [one.pop() for _ in range(50)] == [other.pop() for _ in range(50)]
+
+    def test_infinite_entries_pop_after_every_finite_one(self):
+        # Random pushes, pops and peeks mixing finite and t=inf entries,
+        # with equal-time ties among both, pop exactly like a heap.
+        inf = float("inf")
+        rng = random.Random(7)
+        queue, oracle, seq = CalendarQueue(bucket_width_s=2.0), [], 0
+        for _ in range(3000):
+            action = rng.random()
+            if action < 0.55 or not oracle:
+                seq += 1
+                when = rng.choice((inf, inf, float(rng.randrange(10)),
+                                   rng.uniform(0, 40)))
+                if oracle and when < oracle[0][0]:
+                    when = oracle[0][0]  # never before the popped clock
+                queue.push((when, seq, None, ()))
+                heapq.heappush(oracle, (when, seq, None, ()))
+            elif action < 0.75:
+                assert queue.peek() == oracle[0]
+            else:
+                assert queue.pop() == heapq.heappop(oracle)
+            assert len(queue) == len(oracle)
+        assert [queue.pop() for _ in range(len(oracle))] == sorted(oracle)
+        assert not queue and queue.peek() is None
+
+    def test_finite_push_while_infinite_entries_are_current(self):
+        queue = CalendarQueue()
+        queue.push((float("inf"), 1, None, ()))
+        assert queue.peek()[1] == 1  # loads the t=inf entries
+        queue.push((3.0, 2, None, ()))
+        queue.push((float("inf"), 3, None, ()))
+        queue.push((1.0, 4, None, ()))
+        assert [queue.pop()[1] for _ in range(4)] == [4, 2, 1, 3]
 
     def test_width_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -289,6 +323,30 @@ class TestBackendEquivalence:
         assert drive(Simulation(queue="wheel", wheel_bucket_s=7.3)) == drive(
             Simulation()
         )
+
+    def test_wheel_matches_heap_with_events_at_infinity(self):
+        inf = float("inf")
+
+        def drive(sim):
+            seen = []
+
+            def note(tag):
+                seen.append((tag, sim.now))
+                if tag == "never-1":
+                    sim.schedule_at(inf, note, "never-3")
+
+            for when, tag in ((inf, "never-1"), (2.0, "a"), (inf, "never-2"),
+                              (2.0, "b"), (0.5, "c")):
+                sim.schedule_at(when, note, tag)
+            sim.run(until=1.0)
+            sim.schedule_after(0.25, note, "d")
+            sim.run()
+            return seen
+
+        heap_seen = drive(Simulation(seed=8))
+        assert heap_seen[-3:] == [("never-1", inf), ("never-2", inf),
+                                  ("never-3", inf)]
+        assert drive(Simulation(seed=8, queue="wheel")) == heap_seen
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
